@@ -4,7 +4,9 @@
 //! machinery, then measures encode/decode throughput and bytes-per-entry of
 //! the segment format against the JSON debug format, the streaming
 //! preprocessing path against the in-memory one, and single-threaded vs
-//! per-monitor-parallel manifest ingestion. The acceptance bar of the
+//! per-monitor-parallel manifest ingestion, and splits a merged read into
+//! its decode layers (read, CRC, LZ, unpack, dictionaries, entry
+//! materialization, merge). The acceptance bar of the
 //! tracestore subsystem is a segment under 50 % of the equivalent JSON.
 
 use ipfs_mon_bench::{print_header, run_experiment, scaled, spill_to_manifest_with, ObsFlags};
@@ -27,6 +29,143 @@ fn mib_per_s(bytes: usize, seconds: f64) -> f64 {
 
 fn entries_per_s(entries: usize, seconds: f64) -> f64 {
     entries as f64 / seconds.max(1e-9)
+}
+
+/// One timed pass over every chunk of a dataset's segments.
+struct DecodePass {
+    wall_s: f64,
+    entries: u64,
+    /// Time in `read_at`, timed around each call.
+    read_s: f64,
+    /// Time building and draining owned entries, timed around each chunk's
+    /// materialization (0 when the pass does not materialize).
+    materialize_s: f64,
+    /// Span-histogram time recorded during the pass, by layer name.
+    crc_s: f64,
+    decode_s: f64,
+    lz_s: f64,
+    dict_s: f64,
+}
+
+/// Sum of the named span histogram so far, in seconds (0 under obs-off).
+fn span_s(snapshot: &ipfs_mon_obs::Snapshot, name: &str) -> f64 {
+    snapshot
+        .histograms
+        .get(name)
+        .map_or(0.0, |h| h.sum as f64 * 1e-9)
+}
+
+/// Reads and parses every chunk with recycled scratch; with `materialize`,
+/// also builds every entry as an owned `TraceEntry`.
+fn decode_pass(readers: &[TraceReader<SegmentSource>], materialize: bool) -> DecodePass {
+    let decode_spans = Codec::all().map(|c| format!("store.chunk_decode_ns.{}", c.name()));
+    let decode_total =
+        |snap: &ipfs_mon_obs::Snapshot| decode_spans.iter().map(|n| span_s(snap, n)).sum::<f64>();
+    let before = ipfs_mon_obs::snapshot();
+    let mut scratch = ChunkScratch::default();
+    let mut entries = 0u64;
+    let mut read_s = 0.0;
+    let mut materialize_s = 0.0;
+    let start = Instant::now();
+    for reader in readers {
+        for info in reader.chunks() {
+            let read_start = Instant::now();
+            let frame = reader
+                .source()
+                .read_at(info.offset, info.len as usize)
+                .expect("read chunk frame");
+            read_s += read_start.elapsed().as_secs_f64();
+            let view = ChunkView::parse_with(frame, scratch).expect("decode chunk");
+            scratch = if materialize {
+                let materialize_start = Instant::now();
+                let mut chunk = view.into_entries();
+                entries += (&mut chunk).map(std::hint::black_box).count() as u64;
+                materialize_s += materialize_start.elapsed().as_secs_f64();
+                chunk.into_scratch()
+            } else {
+                entries += view.len() as u64;
+                view.into_scratch()
+            };
+        }
+    }
+    let wall_s = start.elapsed().as_secs_f64();
+    let after = ipfs_mon_obs::snapshot();
+    let delta = |name: &str| span_s(&after, name) - span_s(&before, name);
+    DecodePass {
+        wall_s,
+        entries,
+        read_s,
+        materialize_s,
+        crc_s: delta("store.chunk_crc_ns"),
+        decode_s: decode_total(&after) - decode_total(&before),
+        lz_s: delta("store.chunk_lz_ns"),
+        dict_s: delta("store.chunk_dict_ns"),
+    }
+}
+
+/// Where a serial merged read of one codec's dataset spends its time.
+/// Read, CRC, codec body (LZ decompression, then plane or column unpack),
+/// dictionary parse and entry materialization are all timed inside one
+/// materializing pass; merge is what the full merged read adds on top of
+/// that pass. The sum therefore misses the total by the pass's untimed
+/// work: frame envelopes and loop overhead.
+struct DecodeLayers {
+    total_s: f64,
+    pure_s: f64,
+    read_s: f64,
+    crc_s: f64,
+    lz_s: f64,
+    unpack_s: f64,
+    dict_s: f64,
+    materialize_s: f64,
+    merge_s: f64,
+}
+
+impl DecodeLayers {
+    fn split(pure_s: f64, pass: DecodePass, merged_s: f64) -> Self {
+        Self {
+            total_s: merged_s,
+            pure_s,
+            read_s: pass.read_s,
+            crc_s: pass.crc_s,
+            lz_s: pass.lz_s,
+            unpack_s: pass.decode_s - pass.lz_s - pass.dict_s,
+            dict_s: pass.dict_s,
+            materialize_s: pass.materialize_s,
+            merge_s: merged_s - pass.wall_s,
+        }
+    }
+
+    fn parts(&self) -> [(&'static str, f64); 7] {
+        [
+            ("read", self.read_s),
+            ("crc", self.crc_s),
+            ("lz", self.lz_s),
+            ("unpack", self.unpack_s),
+            ("dict", self.dict_s),
+            ("materialize", self.materialize_s),
+            ("merge", self.merge_s),
+        ]
+    }
+
+    fn parts_sum_s(&self) -> f64 {
+        self.parts().iter().map(|(_, s)| s).sum()
+    }
+
+    fn unaccounted_s(&self) -> f64 {
+        self.total_s - self.parts_sum_s()
+    }
+
+    /// The layer that takes the most time: of the whole read, or (`pure`)
+    /// of the first five, the layers of pure chunk decode.
+    fn top(&self, pure: bool) -> &'static str {
+        self.parts()
+            .into_iter()
+            .take(if pure { 5 } else { 7 })
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("seven parts")
+            .0
+    }
 }
 
 fn main() {
@@ -327,11 +466,13 @@ fn main() {
         "codec", "source", "merge", "bytes/entry", "decode MB/s", "entries/s"
     );
     let mut on_disk = [0u64; 3];
-    // Best-of-3 pure chunk-decode wall time per [source][codec]: every
+    // Best-of-5 pure chunk-decode wall time per [source][codec]: every
     // chunk of every segment parsed and column-validated with recycled
     // scratch, no merge heap, no prefetch thread, and no per-entry
     // materialization (which costs the same for every codec) in the way.
     let mut pure_decode = [[f64::INFINITY; 3]; 2];
+    // Per codec, the layer split of a file-source merged read.
+    let mut layers: [Option<DecodeLayers>; 3] = Default::default();
     for (c, codec) in Codec::all().into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!(
             "ts-bench-codec-{}-{}",
@@ -391,22 +532,40 @@ fn main() {
                 })
                 .collect();
             for _ in 0..5 {
-                let mut scratch = ChunkScratch::default();
-                let start = Instant::now();
-                let mut decoded = 0u64;
-                for reader in &readers {
-                    for info in reader.chunks() {
-                        let frame = reader
-                            .source()
-                            .read_at(info.offset, info.len as usize)
-                            .expect("read chunk frame");
-                        let view = ChunkView::parse_with(frame, scratch).expect("decode chunk");
-                        decoded += info.entries;
-                        scratch = view.into_scratch();
+                let pass = decode_pass(&readers, false);
+                assert_eq!(
+                    pass.entries, total_entries as u64,
+                    "pure decode covers dataset"
+                );
+                pure_decode[s][c] = pure_decode[s][c].min(pass.wall_s);
+            }
+            if !mmap {
+                // The fastest materializing pass, split into its timed
+                // layers, and the full merged read on top of it.
+                let mut materialized: Option<DecodePass> = None;
+                let mut merged_s = f64::INFINITY;
+                let reader = ManifestReader::open(&dir).expect("open manifest");
+                for _ in 0..5 {
+                    let pass = decode_pass(&readers, true);
+                    assert_eq!(pass.entries, total_entries as u64);
+                    if materialized
+                        .as_ref()
+                        .is_none_or(|best| pass.wall_s < best.wall_s)
+                    {
+                        materialized = Some(pass);
                     }
+                    let start = Instant::now();
+                    let mut stream = reader.stream_merged();
+                    let merged = (&mut stream).count();
+                    merged_s = merged_s.min(start.elapsed().as_secs_f64());
+                    assert!(stream.take_error().is_none(), "merged read error");
+                    assert_eq!(merged, total_entries, "merged read covers dataset");
                 }
-                assert_eq!(decoded, total_entries as u64, "pure decode covers dataset");
-                pure_decode[s][c] = pure_decode[s][c].min(start.elapsed().as_secs_f64());
+                layers[c] = Some(DecodeLayers::split(
+                    pure_decode[s][c],
+                    materialized.expect("five materializing passes ran"),
+                    merged_s,
+                ));
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -436,6 +595,70 @@ fn main() {
             mib_per_s(on_disk[0] as usize, pure_decode[s][2]),
         );
     }
+    println!("\n  decode layers (file source, serial merged read, best of 5; % of total):");
+    println!(
+        "  {:<6} {:>9} {:>6} {:>6} {:>6} {:>7} {:>6} {:>12} {:>6} {:>6}  top (of pure decode)",
+        "codec", "total ms", "read", "crc", "lz", "unpack", "dict", "materialize", "merge", "other"
+    );
+    for (codec, layers) in Codec::all().into_iter().zip(&layers) {
+        let layers = layers.as_ref().expect("every codec measured");
+        let pct = |part: f64| part / layers.total_s.max(1e-12) * 100.0;
+        println!(
+            "  {:<6} {:>9.2} {:>5.1}% {:>5.1}% {:>5.1}% {:>6.1}% {:>5.1}% {:>11.1}% {:>5.1}% {:>5.1}%  {} ({})",
+            codec.name(),
+            layers.total_s * 1e3,
+            pct(layers.read_s),
+            pct(layers.crc_s),
+            pct(layers.lz_s),
+            pct(layers.unpack_s),
+            pct(layers.dict_s),
+            pct(layers.materialize_s),
+            pct(layers.merge_s),
+            pct(layers.unaccounted_s()),
+            layers.top(false),
+            layers.top(true),
+        );
+        println!(
+            "BENCH_tracestore.json {{\"mode\":\"decode-layers\",\"codec\":\"{}\",\"source\":\"file\",\"obs\":\"{}\",\"entries\":{total_entries},\"total_s\":{:.6},\"pure_s\":{:.6},\"read_s\":{:.6},\"crc_s\":{:.6},\"lz_s\":{:.6},\"unpack_s\":{:.6},\"dict_s\":{:.6},\"materialize_s\":{:.6},\"merge_s\":{:.6},\"parts_sum_s\":{:.6},\"top\":\"{}\",\"pure_top\":\"{}\"}}",
+            codec.name(),
+            if ipfs_mon_obs::is_enabled() { "instrumented" } else { "off" },
+            layers.total_s,
+            layers.pure_s,
+            layers.read_s,
+            layers.crc_s,
+            layers.lz_s,
+            layers.unpack_s,
+            layers.dict_s,
+            layers.materialize_s,
+            layers.merge_s,
+            layers.parts_sum_s(),
+            layers.top(false),
+            layers.top(true),
+        );
+        // Merge is the one layer taken as a difference of two best-of-5
+        // times; the merged read does all the materializing pass's work and
+        // more, so a negative value means the split is wrong.
+        assert!(
+            layers.merge_s >= 0.0,
+            "{}: merged read ({:.6}s) faster than the materializing pass it contains",
+            codec.name(),
+            layers.total_s
+        );
+        // What this checks: the timed layers cover the materializing pass,
+        // leaving under 10 % of the total untimed. The in-decode layers come
+        // from spans an obs-off build compiles out, so only an instrumented
+        // build can account for the total.
+        if ipfs_mon_obs::is_enabled() {
+            assert!(
+                layers.unaccounted_s().abs() <= 0.1 * layers.total_s,
+                "{}: decode-layer timers leave {:.6}s of the {:.6}s total untimed (limit 10%)",
+                codec.name(),
+                layers.unaccounted_s(),
+                layers.total_s
+            );
+        }
+    }
+
     let lz_decode_s = pure_decode[0][1] + pure_decode[1][1];
     let col_decode_s = pure_decode[0][2] + pure_decode[1][2];
     assert!(

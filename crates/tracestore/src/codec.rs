@@ -283,12 +283,15 @@ impl ChunkCodec for LzCodec {
                 if out.len() + len > decoded_len {
                     return Err(corrupt("match overruns declared length"));
                 }
-                // Matches may overlap their own output (distance < len), so
-                // copy byte-wise from the already-decoded tail.
+                // Matches may overlap their own output (distance < len): the
+                // copied run repeats with period `distance`, so copy in
+                // rounds, each taking up to everything from `start` on —
+                // the periodic source doubles every round.
                 let start = out.len() - distance;
-                for i in 0..len {
-                    let byte = out[start + i];
-                    out.push(byte);
+                let end = out.len() + len;
+                while out.len() < end {
+                    let round = (end - out.len()).min(out.len() - start);
+                    out.extend_from_within(start..start + round);
                 }
             }
             if out.len() > decoded_len {
@@ -329,6 +332,29 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
         roundtrip(&noise);
+    }
+
+    #[test]
+    fn lz_overlapping_matches_repeat_their_period() {
+        for distance in 1..=9usize {
+            for len in MIN_MATCH..48 {
+                let literals: Vec<u8> = (1..=distance as u8).collect();
+                let mut body = Vec::new();
+                varint::encode((distance + len) as u64, &mut body);
+                varint::encode((distance as u64) << 1, &mut body);
+                body.extend_from_slice(&literals);
+                varint::encode((((len - MIN_MATCH) as u64) << 1) | 1, &mut body);
+                varint::encode(distance as u64, &mut body);
+                let expected: Vec<u8> = literals
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .take(distance + len)
+                    .collect();
+                let decoded = LzCodec.decode(&body).unwrap();
+                assert_eq!(decoded.as_ref(), expected, "distance {distance}, len {len}");
+            }
+        }
     }
 
     #[test]

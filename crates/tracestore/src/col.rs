@@ -47,7 +47,7 @@
 //! the entry count all surface [`SegmentError::Corrupt`], never a panic.
 
 use crate::codec::{ChunkCodec, Codec, MAX_DECODED_LEN};
-use crate::segment::{unzigzag, zigzag, Cursor, SegmentError, MULTIADDR_LEN};
+use crate::segment::{has_code_3, unzigzag, zigzag, Cursor, SegmentError, MULTIADDR_LEN};
 use ipfs_mon_types::varint;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -122,32 +122,40 @@ fn pack_bits(values: &[u64], width: u32, out: &mut Vec<u8>) {
 }
 
 /// Unpacks `count` values of `width` bits from `bytes` (which must hold
-/// exactly [`packed_len`] bytes), appending to `out`. The accumulator loop
-/// is branch-light: one shift/mask per value, one byte load per 8 bits.
-fn unpack_bits(bytes: &[u8], count: usize, width: u32, out: &mut Vec<u64>) {
-    if width == 0 {
-        out.extend(std::iter::repeat_n(0u64, count));
-        return;
-    }
-    debug_assert_eq!(bytes.len(), packed_len(count, width).unwrap());
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let mut acc: u128 = 0;
-    let mut bits: u32 = 0;
-    let mut next = 0usize;
-    out.reserve(count);
-    for _ in 0..count {
-        while bits < width {
-            acc |= (bytes[next] as u128) << bits;
-            next += 1;
-            bits += 8;
+/// exactly [`packed_len`] bytes). Each value is one unaligned little-endian
+/// word load, a shift and a mask: no accumulator carries from one value to
+/// the next, so the loop has no serial dependency and no inner byte loop.
+fn unpack_bits(bytes: &[u8], count: usize, width: u32) -> impl Iterator<Item = u64> + '_ {
+    debug_assert_eq!(Some(bytes.len()), packed_len(count, width));
+    let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+    (0..count).map(move |i| {
+        if width == 0 {
+            return 0;
         }
-        out.push((acc as u64) & mask);
-        acc >>= width;
-        bits -= width;
+        let bit = i * width as usize;
+        let (byte, shift) = (bit / 8, (bit % 8) as u32);
+        let low = load_le_u64(bytes, byte) >> shift;
+        // Only widths above 57 can straddle a ninth byte.
+        let value = if shift + width > 64 {
+            low | (load_le_u64(bytes, byte + 8) << (64 - shift))
+        } else {
+            low
+        };
+        value & mask
+    })
+}
+
+/// The eight bytes of `bytes` at `at` as a little-endian word, zero-filled
+/// past the end of the slice.
+fn load_le_u64(bytes: &[u8], at: usize) -> u64 {
+    match bytes.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("eight bytes")),
+        None => {
+            let tail = bytes.get(at..).unwrap_or(&[]);
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
     }
 }
 
@@ -343,7 +351,6 @@ fn read_packed_indexes(
     count: usize,
     dict_len: usize,
     indexes: &mut Vec<usize>,
-    bits: &mut Vec<u64>,
 ) -> Result<(), SegmentError> {
     if dict_len == 0 {
         return Err(corrupt("indexed column with empty dictionary"));
@@ -356,15 +363,14 @@ fn read_packed_indexes(
     }
     let bytes =
         cursor.take(packed_len(count, width).ok_or_else(|| corrupt("index run too large"))?)?;
-    bits.clear();
-    unpack_bits(bytes, count, width, bits);
-    let max = bits.iter().copied().max().unwrap_or(0);
-    if max >= dict_len as u64 {
+    let start = indexes.len();
+    indexes.extend(unpack_bits(bytes, count, width).map(|v| v as usize));
+    let max = indexes[start..].iter().copied().max().unwrap_or(0);
+    if max >= dict_len {
         return Err(SegmentError::Corrupt(format!(
             "col body: dictionary index {max} out of range (dictionary holds {dict_len})"
         )));
     }
-    indexes.extend(bits.iter().map(|&v| v as usize));
     Ok(())
 }
 
@@ -407,12 +413,8 @@ fn decode_2bit_plane(
     match cursor.byte()? {
         PLANE_PACKED => {
             let bytes = cursor.take(count.div_ceil(4))?;
-            if max_code < 3 {
-                for i in 0..count {
-                    if (bytes[i / 4] >> ((i % 4) * 2)) & 0b11 > max_code {
-                        return Err(corrupt("invalid request type code"));
-                    }
-                }
+            if max_code < 3 && has_code_3(bytes, count) {
+                return Err(corrupt("invalid request type code"));
             }
             out.extend_from_slice(bytes);
         }
@@ -466,10 +468,9 @@ fn decode_2bit_plane(
 }
 
 /// Decodes a columnar body (after the mode byte) directly into the caller's
-/// scratch columns — the production read path. `bits` is a reusable unpack
-/// workspace. Returns where the verbatim dictionary regions live so the
-/// chunk view can borrow them straight out of the frame.
-#[allow(clippy::too_many_arguments)]
+/// scratch columns — the production read path. Returns where the verbatim
+/// dictionary regions live so the chunk view can borrow them straight out
+/// of the frame.
 pub(crate) fn decode_columns(
     body: &[u8],
     timestamps: &mut Vec<u64>,
@@ -478,7 +479,6 @@ pub(crate) fn decode_columns(
     cid_indexes: &mut Vec<usize>,
     type_plane: &mut Vec<u8>,
     flag_plane: &mut Vec<u8>,
-    bits: &mut Vec<u64>,
 ) -> Result<ColumnLayout, SegmentError> {
     let mut cursor = Cursor::new(body);
     let monitor = cursor.varint()? as usize;
@@ -507,13 +507,10 @@ pub(crate) fn decode_columns(
         }
         let bytes =
             cursor.take(packed_len(block, width).expect("miniblock bit length fits usize"))?;
-        bits.clear();
-        unpack_bits(bytes, block, width, bits);
-        for &offset in bits.iter() {
-            let delta = i64::try_from(min as i128 + offset as i128)
-                .map_err(|_| corrupt("timestamp delta overflow"))?;
-            previous = previous
-                .checked_add(delta)
+        for offset in unpack_bits(bytes, block, width) {
+            previous = min
+                .checked_add_unsigned(offset)
+                .and_then(|delta| previous.checked_add(delta))
                 .ok_or_else(|| corrupt("timestamp delta overflow"))?;
             if previous < 0 {
                 return Err(corrupt("negative timestamp"));
@@ -524,7 +521,7 @@ pub(crate) fn decode_columns(
     }
 
     let (_, peer_dict) = decode_dict_region(&mut cursor, 32)?;
-    read_packed_indexes(&mut cursor, count, peer_dict.len() / 32, peer_indexes, bits)?;
+    read_packed_indexes(&mut cursor, count, peer_dict.len() / 32, peer_indexes)?;
     let (addr_len, addr_dict) = decode_dict_region(&mut cursor, MULTIADDR_LEN)?;
     match cursor.byte()? {
         ADDR_PEER_INDEXES => {
@@ -537,12 +534,12 @@ pub(crate) fn decode_columns(
             addr_indexes.extend_from_slice(peer_indexes);
         }
         ADDR_OWN_INDEXES => {
-            read_packed_indexes(&mut cursor, count, addr_len, addr_indexes, bits)?;
+            read_packed_indexes(&mut cursor, count, addr_len, addr_indexes)?;
         }
         _ => return Err(corrupt("unknown address column sub-mode")),
     }
     let (cid_dict_len, cid_dict) = decode_cid_dict_region(&mut cursor)?;
-    read_packed_indexes(&mut cursor, count, cid_dict_len, cid_indexes, bits)?;
+    read_packed_indexes(&mut cursor, count, cid_dict_len, cid_indexes)?;
     decode_2bit_plane(&mut cursor, count, 2, type_plane)?;
     decode_2bit_plane(&mut cursor, count, 3, flag_plane)?;
     if !cursor.is_at_end() {
@@ -586,7 +583,6 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
     let base = cursor.varint()?;
     varint::encode(base, out);
 
-    let mut bits = Vec::with_capacity(MINIBLOCK);
     let mut remaining = count - 1;
     while remaining > 0 {
         let block = remaining.min(MINIBLOCK);
@@ -597,11 +593,10 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
         }
         let bytes =
             cursor.take(packed_len(block, width).expect("miniblock bit length fits usize"))?;
-        bits.clear();
-        unpack_bits(bytes, block, width, &mut bits);
-        for &offset in &bits {
-            let delta = i64::try_from(min as i128 + offset as i128)
-                .map_err(|_| corrupt("timestamp delta overflow"))?;
+        for offset in unpack_bits(bytes, block, width) {
+            let delta = min
+                .checked_add_unsigned(offset)
+                .ok_or_else(|| corrupt("timestamp delta overflow"))?;
             varint::encode(zigzag(delta), out);
         }
         remaining -= block;
@@ -611,7 +606,6 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
     // Re-emits one dictionary column: header + verbatim dictionary bytes +
     // varint indexes. Leaves the decoded indexes in `indexes` (the address
     // column may reference the peer ones).
-    #[allow(clippy::too_many_arguments)]
     fn emit_dict_column(
         body: &[u8],
         count: usize,
@@ -620,19 +614,17 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
         len: usize,
         region: Range<usize>,
         indexes: &mut Vec<usize>,
-        bits: &mut Vec<u64>,
     ) -> Result<(), SegmentError> {
         varint::encode(len as u64, out);
         out.extend_from_slice(&body[region]);
         indexes.clear();
-        read_packed_indexes(cursor, count, len, indexes, bits)?;
+        read_packed_indexes(cursor, count, len, indexes)?;
         for &index in indexes.iter() {
             varint::encode(index as u64, out);
         }
         Ok(())
     }
 
-    let mut bits = Vec::new();
     let mut indexes = Vec::new();
     let (peer_len, peer_region) = decode_dict_region(&mut cursor, 32)?;
     emit_dict_column(
@@ -643,7 +635,6 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
         peer_len,
         peer_region,
         &mut indexes,
-        &mut bits,
     )?;
     ceiling(out)?;
 
@@ -665,7 +656,7 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
         }
         ADDR_OWN_INDEXES => {
             indexes.clear();
-            read_packed_indexes(&mut cursor, count, addr_len, &mut indexes, &mut bits)?;
+            read_packed_indexes(&mut cursor, count, addr_len, &mut indexes)?;
             for &index in indexes.iter() {
                 varint::encode(index as u64, out);
             }
@@ -683,7 +674,6 @@ fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError
         cid_len,
         cid_region,
         &mut indexes,
-        &mut bits,
     )?;
     ceiling(out)?;
 
@@ -1051,12 +1041,15 @@ mod tests {
             let values: Vec<u64> = (0..130u64)
                 .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask)
                 .collect();
-            let mut packed = Vec::new();
-            pack_bits(&values, width, &mut packed);
-            assert_eq!(packed.len(), packed_len(values.len(), width).unwrap());
-            let mut unpacked = Vec::new();
-            unpack_bits(&packed, values.len(), width, &mut unpacked);
-            assert_eq!(unpacked, values, "width {width}");
+            // Every count up to 130 ends the run at a different bit offset,
+            // so the zero-filled tail loads are covered at every width.
+            for count in 0..=values.len() {
+                let mut packed = Vec::new();
+                pack_bits(&values[..count], width, &mut packed);
+                assert_eq!(packed.len(), packed_len(count, width).unwrap());
+                let unpacked: Vec<u64> = unpack_bits(&packed, count, width).collect();
+                assert_eq!(unpacked, values[..count], "width {width}, count {count}");
+            }
         }
     }
 }

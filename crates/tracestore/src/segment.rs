@@ -327,6 +327,24 @@ fn checked_count(
     Ok(count as usize)
 }
 
+/// Whether any of the first `count` 2-bit codes packed in `plane` is 3, the
+/// one code no request type uses. Checks eight bytes (32 codes) per step;
+/// padding codes past `count` are ignored.
+pub(crate) fn has_code_3(plane: &[u8], count: usize) -> bool {
+    const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+    let both_bits = |word: u64| word & (word >> 1) & LOW_BITS != 0;
+    let (whole, partial) = plane[..count.div_ceil(4)].split_at(count / 4);
+    let mut words = whole.chunks_exact(8);
+    let partial_lanes = (1u64 << (2 * (count % 4))) - 1;
+    words
+        .by_ref()
+        .any(|word| both_bits(u64::from_le_bytes(word.try_into().expect("eight bytes"))))
+        || words.remainder().iter().any(|&byte| both_bits(byte.into()))
+        || partial
+            .first()
+            .is_some_and(|&byte| both_bits(u64::from(byte) & partial_lanes))
+}
+
 /// Packs values of two bits each, little-endian within bytes.
 fn pack_2bit(values: impl ExactSizeIterator<Item = u8>, out: &mut Vec<u8>) {
     let mut current = 0u8;
@@ -586,7 +604,6 @@ pub struct ChunkScratch {
     cid_dict: Vec<Cid>,
     type_plane: Vec<u8>,
     flag_plane: Vec<u8>,
-    bits: Vec<u64>,
 }
 
 impl ChunkScratch {
@@ -600,7 +617,6 @@ impl ChunkScratch {
         self.cid_dict.clear();
         self.type_plane.clear();
         self.flag_plane.clear();
-        self.bits.clear();
     }
 }
 
@@ -667,7 +683,10 @@ impl<'a> ChunkView<'a> {
         let payload_start = cursor.pos;
         let payload = cursor.take(payload_len)?;
         let stored_crc = u32::from_le_bytes(cursor.take(4)?.try_into().unwrap());
-        if crc32(payload) != stored_crc {
+        let crc_span = obs::histogram!("store.chunk_crc_ns").timer();
+        let crc_ok = crc32(payload) == stored_crc;
+        drop(crc_span);
+        if !crc_ok {
             return Err(SegmentError::ChecksumMismatch {
                 location: "chunk".into(),
             });
@@ -679,9 +698,10 @@ impl<'a> ChunkView<'a> {
             return Err(SegmentError::Corrupt("empty chunk payload".into()));
         }
         let codec = Codec::from_byte(payload[0])?;
-        // Decode-stage span, split per codec. The envelope work above is a
-        // few branches; the decompression and column work below is where
-        // decode time actually goes.
+        // Decode-stage span, split per codec, for the decompression and
+        // column work below. The envelope above is more than a few
+        // branches: its CRC reads every payload byte, so it has a span of
+        // its own (`store.chunk_crc_ns`).
         let _span = decode_stage_histogram(codec).timer();
         let body_range = payload_start + 1..payload_start + payload_len;
         scratch.clear();
@@ -700,9 +720,11 @@ impl<'a> ChunkView<'a> {
             // Compressed planes decode into the recycled buffer.
             Codec::Lz => {
                 let mut planes = std::mem::take(&mut scratch.planes);
+                let lz_span = obs::histogram!("store.chunk_lz_ns").timer();
                 codec
                     .implementation()
                     .decode_into(&frame_bytes[body_range], &mut planes)?;
+                drop(lz_span);
                 Self::parse_planes(Planes::Owned(planes), codec, scratch)
             }
             // Columnar bodies decode straight into the view's columns; the
@@ -728,10 +750,12 @@ impl<'a> ChunkView<'a> {
                     // LZ-compressed columnar body: decompress into the
                     // recycled buffer, then decode columns from it.
                     let mut columnar = std::mem::take(&mut scratch.planes);
+                    let lz_span = obs::histogram!("store.chunk_lz_ns").timer();
                     LzCodec.decode_into(
                         &frame_bytes[body_range.start + 1..body_range.end],
                         &mut columnar,
                     )?;
+                    drop(lz_span);
                     Self::parse_columnar(Planes::Owned(columnar), 0, scratch)
                 }
                 _ => Err(SegmentError::Corrupt(
@@ -783,13 +807,16 @@ impl<'a> ChunkView<'a> {
         read_indexes(&mut cursor, count, peer_count, "peer", &mut peer_indexes)?;
 
         let addr_count = checked_count(&mut cursor, MULTIADDR_LEN, "address dictionary")?;
+        let dict_span = obs::histogram!("store.chunk_dict_ns").timer();
         addr_dict.reserve(addr_count);
         for _ in 0..addr_count {
             addr_dict.push(decode_multiaddr(cursor.take(MULTIADDR_LEN)?)?);
         }
+        drop(dict_span);
         read_indexes(&mut cursor, count, addr_count, "address", &mut addr_indexes)?;
 
         let cid_count = checked_count(&mut cursor, 2, "CID dictionary")?;
+        let dict_span = obs::histogram!("store.chunk_dict_ns").timer();
         cid_dict.reserve(cid_count);
         for _ in 0..cid_count {
             let len = cursor.varint()? as usize;
@@ -797,12 +824,13 @@ impl<'a> ChunkView<'a> {
                 .map_err(|e| SegmentError::Corrupt(format!("bad CID in dictionary: {e:?}")))?;
             cid_dict.push(cid);
         }
+        drop(dict_span);
         read_indexes(&mut cursor, count, cid_count, "CID", &mut cid_indexes)?;
 
         let type_plane = cursor.pos..cursor.pos + count.div_ceil(4);
         let type_bytes = cursor.take(count.div_ceil(4))?;
-        for i in 0..count {
-            request_type_from_code((type_bytes[i / 4] >> ((i % 4) * 2)) & 0b11)?;
+        if has_code_3(type_bytes, count) {
+            return Err(SegmentError::Corrupt("invalid request type code 3".into()));
         }
         let flag_plane = cursor.pos..cursor.pos + count.div_ceil(4);
         cursor.take(count.div_ceil(4))?;
@@ -851,7 +879,6 @@ impl<'a> ChunkView<'a> {
         let mut cid_dict = std::mem::take(&mut scratch.cid_dict);
         let mut type_plane = std::mem::take(&mut scratch.type_plane);
         let mut flag_plane = std::mem::take(&mut scratch.flag_plane);
-        let mut bits = std::mem::take(&mut scratch.bits);
 
         // The columnar bytes; layout ranges are relative to them.
         let body = &planes.bytes()[offset..];
@@ -863,11 +890,11 @@ impl<'a> ChunkView<'a> {
             &mut cid_indexes,
             &mut type_plane,
             &mut flag_plane,
-            &mut bits,
         )?;
 
         // Decode (and validate) the address and CID dictionaries from their
         // verbatim regions, exactly as the raw plane parser does.
+        let dict_span = obs::histogram!("store.chunk_dict_ns").timer();
         addr_dict.reserve(layout.addr_dict.len() / MULTIADDR_LEN);
         for entry in body[layout.addr_dict.clone()].chunks(MULTIADDR_LEN) {
             addr_dict.push(decode_multiaddr(entry)?);
@@ -880,11 +907,11 @@ impl<'a> ChunkView<'a> {
                 .map_err(|e| SegmentError::Corrupt(format!("bad CID in dictionary: {e:?}")))?;
             cid_dict.push(cid);
         }
+        drop(dict_span);
 
         obs::counter!("store.chunks_decoded").incr();
         obs::counter!("store.entries_decoded").add(layout.count as u64);
 
-        scratch.bits = bits;
         // The borrowed peer dictionary range indexes planes.bytes(), which
         // starts `offset` bytes before the columnar bytes.
         let peer_dict = offset + layout.peer_dict.start..offset + layout.peer_dict.end;
@@ -1482,5 +1509,33 @@ mod tests {
         pack_2bit(values.iter().copied(), &mut packed);
         assert_eq!(packed.len(), 3);
         assert_eq!(unpack_2bit(&packed, values.len()), values);
+    }
+
+    #[test]
+    fn cursor_rejects_non_canonical_varints() {
+        let mut cursor = Cursor::new(&[0x80, 0x00, 0x01]);
+        assert!(matches!(cursor.varint(), Err(SegmentError::Corrupt(_))));
+        let mut cursor = Cursor::new(&[0x05, 0xac, 0x02]);
+        assert_eq!(cursor.varint().unwrap(), 5);
+        assert_eq!(cursor.varint().unwrap(), 300);
+        assert!(cursor.is_at_end());
+    }
+
+    #[test]
+    fn code_3_scan_matches_per_code_check() {
+        let plane: Vec<u8> = (0..40u32)
+            .map(|i| (i.wrapping_mul(37) % 3) as u8 * 0x15)
+            .collect();
+        for count in 0..=plane.len() * 4 {
+            let bytes = &plane[..count.div_ceil(4)];
+            assert!(!has_code_3(bytes, count), "clean plane, count {count}");
+            for i in 0..count {
+                let mut damaged = bytes.to_vec();
+                damaged[i / 4] |= 0b11 << ((i % 4) * 2);
+                assert!(has_code_3(&damaged, count), "code 3 at {i} of {count}");
+            }
+        }
+        // Padding codes past the count are not entries.
+        assert!(!has_code_3(&[0b1100_0000], 3));
     }
 }

@@ -33,7 +33,23 @@ pub fn encode_to_vec(value: u64) -> Vec<u8> {
 /// Decodes an unsigned varint from the front of `input`.
 ///
 /// Returns the decoded value and the number of bytes consumed.
+#[inline]
 pub fn decode(input: &[u8]) -> Result<(u64, usize), TypesError> {
+    // One- and two-byte varints (values below 2^14) make up nearly all
+    // lengths, dictionary indexes and timestamp deltas, so they are decoded
+    // inline. A two-byte form is canonical unless its second byte is a zero
+    // continuation; that case, and every longer varint, takes the full loop.
+    match *input {
+        [low, ..] if low < 0x80 => Ok((u64::from(low), 1)),
+        [low, high, ..] if high < 0x80 && high != 0 => {
+            Ok((u64::from(low & 0x7f) | u64::from(high) << 7, 2))
+        }
+        _ => decode_long(input),
+    }
+}
+
+/// The general decoder: any length, overflow and canonical-form checks.
+fn decode_long(input: &[u8]) -> Result<(u64, usize), TypesError> {
     let mut value: u64 = 0;
     let mut shift: u32 = 0;
     for (i, &byte) in input.iter().enumerate() {
@@ -122,10 +138,33 @@ mod tests {
     #[test]
     fn rejects_non_canonical_trailing_zero() {
         // 0x80 0x00 encodes 0 in two bytes; canonical form is a single 0x00.
-        assert!(matches!(
-            decode(&[0x80, 0x00]),
-            Err(TypesError::NonCanonicalVarint)
-        ));
+        // A zero continuation after any low group is rejected, with or
+        // without bytes after it, and so is one after a longer prefix.
+        for low in 0x80..=u8::MAX {
+            for input in [&[low, 0x00][..], &[low, 0x00, 0x05], &[low, 0x80, 0x00]] {
+                assert!(
+                    matches!(decode(input), Err(TypesError::NonCanonicalVarint)),
+                    "{input:02x?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn short_forms_match_the_general_decoder() {
+        // Every one- and two-byte input, followed by a terminating suffix so
+        // two-byte continuations decode through the general loop as well.
+        for low in 0..=u8::MAX {
+            for high in 0..=u8::MAX {
+                let input = [low, high, 0x01];
+                assert_eq!(
+                    decode(&input),
+                    decode_long(&input),
+                    "{low:#04x} {high:#04x}"
+                );
+            }
+            assert_eq!(decode(&[low]), decode_long(&[low]), "{low:#04x}");
+        }
     }
 
     #[test]
